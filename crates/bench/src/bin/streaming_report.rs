@@ -4,9 +4,10 @@
 //! Runs a fixed-seed batch schedule (insert-heavy arrivals with light
 //! deletion churn over a shuffled power-law community graph) through a
 //! warm-started [`StreamingPipeline`] and through cold per-batch
-//! recomputes (full GoGraph reorder + from-scratch engine run on each
-//! intermediate graph), for PageRank, SSSP, BFS and CC, and writes the
-//! total-rounds / wall-time comparison as JSON.
+//! recomputes (CSR patch + full GoGraph reorder + from-scratch engine
+//! run on each intermediate graph), for PageRank, SSSP, BFS and CC, and
+//! writes the total-rounds / wall-time comparison, plus the maintained
+//! order's `M/|E|` after each warm batch, as JSON.
 //!
 //! Usage: `streaming_report [OUT.json]` (default `BENCH_PR3.json`);
 //! `GOGRAPH_SCALE=tiny` shrinks the workload for CI smoke runs. Exits
@@ -37,6 +38,8 @@ struct Row {
     cold_seconds: f64,
     full_reorders: usize,
     max_state_divergence: f64,
+    /// The maintained order's `M/|E|` after each warm batch.
+    positive_fractions: Vec<f64>,
 }
 
 /// The fixed-seed schedule: bootstrap on half the edges, then
@@ -90,6 +93,7 @@ fn run_algorithm<A: IterativeAlgorithm + Clone + 'static>(
         .expect("streaming bootstrap");
     let mut warm_rounds = 0usize;
     let mut warm_seconds = 0f64;
+    let mut positive_fractions = Vec::with_capacity(batches.len());
     for batch in batches {
         let t = Instant::now();
         let r = sp.apply_batch(batch).expect("batch applies");
@@ -99,17 +103,19 @@ fn run_algorithm<A: IterativeAlgorithm + Clone + 'static>(
             "{algorithm}: warm batch did not converge"
         );
         warm_rounds += r.stats.rounds;
+        positive_fractions.push(sp.positive_fraction());
     }
 
-    // Cold side: full reorder + from-scratch run on every intermediate
-    // graph.
+    // Cold side: CSR patch + full reorder + from-scratch run on every
+    // intermediate graph. The patch is timed because the warm side pays
+    // for it inside `apply_batch`.
     let mut cold_rounds = 0usize;
     let mut cold_seconds = 0f64;
     let mut current = bootstrap.clone();
     let mut cold_final = Vec::new();
     for batch in batches {
-        current = current.apply_updates(batch);
         let t = Instant::now();
+        current = current.apply_updates(batch);
         let r = Pipeline::on(&current)
             .reorder(GoGraph::default())
             .algorithm(alg.clone())
@@ -147,7 +153,17 @@ fn run_algorithm<A: IterativeAlgorithm + Clone + 'static>(
         cold_seconds,
         full_reorders: sp.full_reorders(),
         max_state_divergence: max_div,
+        positive_fractions,
     }
+}
+
+/// `fractions` to four decimals, joined by `sep`.
+fn fraction_list(fractions: &[f64], sep: &str) -> String {
+    fractions
+        .iter()
+        .map(|f| format!("{f:.4}"))
+        .collect::<Vec<_>>()
+        .join(sep)
 }
 
 fn main() {
@@ -207,6 +223,11 @@ fn main() {
             r.algorithm, r.warm_rounds, r.warm_seconds, r.cold_rounds, r.cold_seconds,
             r.full_reorders, r.max_state_divergence,
         );
+        eprintln!(
+            "  {:9} maintained M/|E| per batch: {}",
+            r.algorithm,
+            fraction_list(&r.positive_fractions, " ")
+        );
     }
     eprintln!("  total: warm {warm_total} rounds vs cold {cold_total} rounds");
     assert!(
@@ -235,14 +256,14 @@ fn main() {
     .unwrap();
     writeln!(
         json,
-        "  \"configuration\": {{\"mode\": \"async\", \"warm\": \"StreamingPipeline (incremental order + warm kernels)\", \"cold\": \"per-batch full GoGraph reorder + cold run\"}},"
+        "  \"configuration\": {{\"mode\": \"async\", \"warm\": \"StreamingPipeline (incremental order + warm kernels)\", \"cold\": \"per-batch CSR patch + full GoGraph reorder + cold run\"}},"
     )
     .unwrap();
     writeln!(json, "  \"results\": [").unwrap();
     for (i, r) in rows.iter().enumerate() {
         writeln!(
             json,
-            "    {{\"algorithm\": \"{}\", \"warm_start_sound\": {}, \"warm_total_rounds\": {}, \"cold_total_rounds\": {}, \"warm_seconds\": {:.6}, \"cold_seconds\": {:.6}, \"full_reorders\": {}, \"max_state_divergence\": {:.3e}}}{}",
+            "    {{\"algorithm\": \"{}\", \"warm_start_sound\": {}, \"warm_total_rounds\": {}, \"cold_total_rounds\": {}, \"warm_seconds\": {:.6}, \"cold_seconds\": {:.6}, \"full_reorders\": {}, \"max_state_divergence\": {:.3e}, \"positive_fraction_per_batch\": [{}]}}{}",
             r.algorithm,
             r.warm_sound,
             r.warm_rounds,
@@ -251,6 +272,7 @@ fn main() {
             r.cold_seconds,
             r.full_reorders,
             r.max_state_divergence,
+            fraction_list(&r.positive_fractions, ", "),
             if i + 1 == rows.len() { "" } else { "," },
         )
         .unwrap();

@@ -673,6 +673,41 @@ mod tests {
         assert_eq!(order_members(&g, &[7]), vec![7]);
     }
 
+    /// FNV-1a over the order's vertex ids, position by position.
+    fn order_hash(p: &Permutation) -> u64 {
+        p.order().iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &v| {
+            v.to_le_bytes()
+                .iter()
+                .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+        })
+    }
+
+    #[test]
+    fn offline_order_is_pinned() {
+        // Pins the exact GoGraph order on a fixed seeded planted graph
+        // (hubs, isolated vertices, conquer and super-vertex insertion
+        // all exercised), so a change to the insertion scan's buffers or
+        // to the used-val set's hasher cannot silently move any vertex.
+        let g = shuffle_labels(
+            &planted_partition(PlantedPartitionConfig {
+                num_vertices: 3000,
+                num_edges: 24000,
+                communities: 12,
+                p_intra: 0.85,
+                gamma: 2.2,
+                seed: 2024,
+            }),
+            77,
+        );
+        let p = GoGraph::default().run(&g);
+        assert_eq!(
+            (order_hash(&p), metric(&g, &p)),
+            (9058724298399526125, 10411),
+            "offline GoGraph order moved (|E| = {})",
+            g.num_edges()
+        );
+    }
+
     #[test]
     fn isolated_vertices_are_placed() {
         let mut b = gograph_graph::GraphBuilder::new();

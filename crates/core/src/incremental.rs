@@ -4,11 +4,15 @@
 //! A full GoGraph run costs a partitioning plus O(|E|) greedy insertion;
 //! re-running it on every edge arrival is wasteful. [`IncrementalGoGraph`]
 //! seeds from a full run and then maintains the order under edge
-//! insertions by *locally repositioning* the affected endpoints: moving a
-//! single vertex only flips the signs of its own incident edges, so
-//! re-running `GetOptVal` for that vertex (remove + optimal re-insert)
-//! can never decrease `M` — giving a monotone-metric maintenance
-//! guarantee with O(degree · log degree) work per update.
+//! insertions and deletions by *locally repositioning* the affected
+//! endpoints: moving a single vertex only flips the signs of its own
+//! incident edges, so re-running `GetOptVal` for that vertex (remove +
+//! optimal re-insert) can never decrease `M` — a monotone-metric
+//! maintenance guarantee. A batch first folds all of its edges into the
+//! adjacency, then repositions each touched vertex once against the
+//! post-batch graph, so the work is O(degree · log degree) per touched
+//! vertex per batch — a hub hit k times in a batch moves once, not k
+//! times — and each reposition runs on reused scratch buffers.
 
 use crate::gograph::GoGraph;
 use crate::insertion::{InsertionOrder, NeighborLink};
@@ -35,6 +39,45 @@ pub struct IncrementalGoGraph {
     in_: Vec<Vec<VertexId>>,
     order: InsertionOrder,
     num_edges: usize,
+    scratch: Scratch,
+}
+
+/// Reused per-reposition and per-batch buffers; no state survives a call.
+#[derive(Debug, Clone, Default)]
+struct Scratch {
+    /// Index into `links` of each neighbor id gathered so far; `NO_SLOT`
+    /// everywhere between calls.
+    slot: Vec<u32>,
+    /// The links of the vertex being repositioned.
+    links: Vec<NeighborLink>,
+    /// Vertices a batch touched, in first-touch order...
+    touched: Vec<VertexId>,
+    /// ...and their membership marks (all `false` between batches).
+    is_touched: Vec<bool>,
+}
+
+const NO_SLOT: u32 = u32::MAX;
+
+impl Scratch {
+    fn new(n: usize) -> Self {
+        Scratch {
+            slot: vec![NO_SLOT; n],
+            is_touched: vec![false; n],
+            ..Scratch::default()
+        }
+    }
+
+    fn grow_one(&mut self) {
+        self.slot.push(NO_SLOT);
+        self.is_touched.push(false);
+    }
+
+    fn touch(&mut self, v: VertexId) {
+        if !self.is_touched[v as usize] {
+            self.is_touched[v as usize] = true;
+            self.touched.push(v);
+        }
+    }
 }
 
 impl IncrementalGoGraph {
@@ -64,6 +107,7 @@ impl IncrementalGoGraph {
             in_,
             order: io,
             num_edges: g.num_edges(),
+            scratch: Scratch::new(n),
         }
     }
 
@@ -122,6 +166,7 @@ impl IncrementalGoGraph {
             in_,
             order: io,
             num_edges: g.num_edges(),
+            scratch: Scratch::new(n),
         }
     }
 
@@ -141,22 +186,19 @@ impl IncrementalGoGraph {
         self.out.push(Vec::new());
         self.in_.push(Vec::new());
         self.order.grow_one();
+        self.scratch.grow_one();
         id
     }
 
     /// Ingests a directed edge and locally repositions both endpoints if
     /// that increases their positive-edge contribution. Duplicate edges
-    /// are ignored.
+    /// are ignored. A batch of one: see
+    /// [`IncrementalGoGraph::apply_updates`].
     pub fn add_edge(&mut self, u: VertexId, v: VertexId) {
-        assert!((u as usize) < self.out.len() && (v as usize) < self.out.len());
-        if u == v || self.out[u as usize].contains(&v) {
-            return;
+        if self.insert_edge(u, v) {
+            self.reposition(u);
+            self.reposition(v);
         }
-        self.out[u as usize].push(v);
-        self.in_[v as usize].push(u);
-        self.num_edges += 1;
-        self.reposition(u);
-        self.reposition(v);
     }
 
     /// Removes a directed edge, then locally repositions both endpoints:
@@ -165,6 +207,76 @@ impl IncrementalGoGraph {
     /// contribution to `M` on the surviving edge set. Returns `false`
     /// (and leaves the order untouched) when the edge was not present.
     pub fn remove_edge(&mut self, u: VertexId, v: VertexId) -> bool {
+        let removed = self.delete_edge(u, v);
+        if removed {
+            self.reposition(u);
+            self.reposition(v);
+        }
+        removed
+    }
+
+    /// Folds a batch of [`EdgeUpdate`]s into the maintained order, in two
+    /// phases:
+    ///
+    /// 1. every update is applied to the adjacency in sequence, under the
+    ///    per-edge rules of [`IncrementalGoGraph::add_edge`] and
+    ///    [`IncrementalGoGraph::remove_edge`]: duplicate inserts, removals
+    ///    of absent edges and self-loops are skipped, and insert endpoints
+    ///    beyond the current vertex count grow the graph (via
+    ///    [`IncrementalGoGraph::add_vertex`]). Weights are ignored — the
+    ///    metric `M` counts edges, not weight;
+    /// 2. each endpoint of an update that changed the edge set is
+    ///    repositioned exactly once, in first-touch order, against the
+    ///    *post-batch* adjacency.
+    ///
+    /// Every reposition is monotone in `M` over the post-batch graph, so
+    /// the batch never lowers `M` below what the pre-batch order scores
+    /// on the post-batch graph. The order depends on the batch
+    /// boundaries (a batch of one is exactly `add_edge`/`remove_edge`):
+    /// replaying the same updates split differently yields a different,
+    /// equally valid order, so replicas must replay identical batches
+    /// with the same version of this code.
+    pub fn apply_updates(&mut self, updates: &[EdgeUpdate]) {
+        for up in updates {
+            let (src, dst, changed) = match *up {
+                EdgeUpdate::Insert { src, dst, .. } => {
+                    while self.out.len() <= src.max(dst) as usize {
+                        self.add_vertex();
+                    }
+                    (src, dst, self.insert_edge(src, dst))
+                }
+                EdgeUpdate::Remove { src, dst } => (src, dst, self.delete_edge(src, dst)),
+            };
+            if changed {
+                self.scratch.touch(src);
+                self.scratch.touch(dst);
+            }
+        }
+        let touched = std::mem::take(&mut self.scratch.touched);
+        for &w in &touched {
+            self.scratch.is_touched[w as usize] = false;
+            self.reposition(w);
+        }
+        self.scratch.touched = touched;
+        self.scratch.touched.clear();
+    }
+
+    /// Adds `u -> v` to the adjacency without repositioning; `false` for
+    /// self-loops and duplicates.
+    fn insert_edge(&mut self, u: VertexId, v: VertexId) -> bool {
+        assert!((u as usize) < self.out.len() && (v as usize) < self.out.len());
+        if u == v || self.out[u as usize].contains(&v) {
+            return false;
+        }
+        self.out[u as usize].push(v);
+        self.in_[v as usize].push(u);
+        self.num_edges += 1;
+        true
+    }
+
+    /// Drops `u -> v` from the adjacency without repositioning; `false`
+    /// when the edge is absent or out of range.
+    fn delete_edge(&mut self, u: VertexId, v: VertexId) -> bool {
         if (u as usize) >= self.out.len() || (v as usize) >= self.out.len() {
             return false;
         }
@@ -178,31 +290,7 @@ impl IncrementalGoGraph {
             .expect("in-adjacency out of sync with out-adjacency");
         self.in_[v as usize].swap_remove(in_pos);
         self.num_edges -= 1;
-        self.reposition(u);
-        self.reposition(v);
         true
-    }
-
-    /// Folds a batch of [`EdgeUpdate`]s into the maintained order.
-    /// Insert endpoints beyond the current vertex count grow the graph
-    /// (via [`IncrementalGoGraph::add_vertex`]); weights are ignored —
-    /// the metric `M` counts edges, not weight. Self-loops are neither
-    /// positive nor negative and are skipped, matching
-    /// [`IncrementalGoGraph::add_edge`].
-    pub fn apply_updates(&mut self, updates: &[EdgeUpdate]) {
-        for up in updates {
-            match *up {
-                EdgeUpdate::Insert { src, dst, .. } => {
-                    while self.out.len() <= src.max(dst) as usize {
-                        self.add_vertex();
-                    }
-                    self.add_edge(src, dst);
-                }
-                EdgeUpdate::Remove { src, dst } => {
-                    self.remove_edge(src, dst);
-                }
-            }
-        }
     }
 
     /// `M(O) / |E|` of the maintained order over the ingested edges —
@@ -320,22 +408,25 @@ impl IncrementalGoGraph {
     /// Removes `w` and re-inserts it at its optimal position (monotone in
     /// the vertex's local positive count, hence in `M`).
     fn reposition(&mut self, w: VertexId) {
-        let links = self.links_of(w);
-        if links.is_empty() {
+        self.gather_links(w);
+        if self.scratch.links.is_empty() {
             return;
         }
+        #[cfg(debug_assertions)]
         let current = self.local_positive(w);
         self.order.remove(w as usize);
-        let outcome = self.order.insert(w as usize, &links);
-        debug_assert!(
-            outcome.positive_gain + 1e-9 >= current,
+        let _outcome = self.order.insert(w as usize, &self.scratch.links);
+        #[cfg(debug_assertions)]
+        assert!(
+            _outcome.positive_gain + 1e-9 >= current,
             "reposition decreased local positive count: {} -> {}",
             current,
-            outcome.positive_gain
+            _outcome.positive_gain
         );
     }
 
     /// Current positive-edge weight incident to `w` under the order.
+    #[cfg(debug_assertions)]
     fn local_positive(&self, w: VertexId) -> f64 {
         let val = self.order.val(w as usize);
         let mut count = 0.0;
@@ -352,28 +443,30 @@ impl IncrementalGoGraph {
         count
     }
 
-    fn links_of(&self, w: VertexId) -> Vec<NeighborLink> {
-        let mut links: Vec<NeighborLink> =
-            Vec::with_capacity(self.out[w as usize].len() + self.in_[w as usize].len());
-        // Position of each neighbor id already in `links` — keeps this
-        // O(deg) where a linear rescan per out-edge would be O(deg²) on
-        // hubs, which dominates batch ingestion on power-law graphs.
-        let mut slot: std::collections::HashMap<usize, usize> =
-            std::collections::HashMap::with_capacity(links.capacity());
+    /// Fills `scratch.links` with `w`'s merged neighbor links: in-links
+    /// first, then out-links folded into a reciprocal in-link's entry.
+    /// The dense `slot` array finds that entry in O(1), keeping this
+    /// O(deg) where a rescan per out-edge would be O(deg²) on hubs; it
+    /// is reset before returning.
+    fn gather_links(&mut self, w: VertexId) {
+        let Scratch { slot, links, .. } = &mut self.scratch;
+        links.clear();
         for &x in &self.in_[w as usize] {
-            slot.insert(x as usize, links.len());
+            slot[x as usize] = links.len() as u32;
             links.push(NeighborLink::new(x as usize, 1.0, 0.0));
         }
         for &x in &self.out[w as usize] {
-            match slot.get(&(x as usize)) {
-                Some(&i) => links[i].out_weight += 1.0,
-                None => {
-                    slot.insert(x as usize, links.len());
+            match slot[x as usize] {
+                NO_SLOT => {
+                    slot[x as usize] = links.len() as u32;
                     links.push(NeighborLink::new(x as usize, 0.0, 1.0));
                 }
+                i => links[i as usize].out_weight += 1.0,
             }
         }
-        links
+        for l in links.iter() {
+            slot[l.id] = NO_SLOT;
+        }
     }
 
     /// The maintained processing order.
@@ -682,6 +775,25 @@ mod tests {
     }
 
     #[test]
+    fn batch_repositions_both_endpoints_of_a_changed_edge() {
+        // 1 sits at the tail behind its three in-neighbors, 0 at the
+        // head. Inserting 1 -> 0 cannot move 1 (the tail still wins 3 of
+        // its 4 edges), so only repositioning the destination 0 behind 1
+        // makes every edge positive.
+        let mut b = GraphBuilder::with_capacity(5, 3);
+        b.reserve_vertices(5);
+        for src in 2..5u32 {
+            b.add_edge(src, 1, 1.0);
+        }
+        let order = Permutation::from_order(vec![0, 2, 3, 4, 1]);
+        let mut inc = IncrementalGoGraph::from_graph_with_order(&b.build(), &order);
+        inc.apply_updates(&[EdgeUpdate::insert(1, 0), EdgeUpdate::insert(1, 0)]);
+        let g = inc.to_graph();
+        assert_eq!(g.num_edges(), 4);
+        assert_eq!(metric(&g, &inc.current_order()), 4);
+    }
+
+    #[test]
     fn reorder_within_splices_and_preserves_everyone_else() {
         // Chain streamed in reverse leaves 3..6 in a suboptimal
         // arrangement once we scramble them by hand; reorder_within must
@@ -764,6 +876,39 @@ mod tests {
             "splice repair must not lose metric: {m_before} -> {m_after}"
         );
         assert_eq!(m_after, 10, "both chains fully positive after repair");
+    }
+
+    #[test]
+    fn per_edge_streaming_vals_are_pinned() {
+        // Pins the exact val keys (bits) and bounds that per-edge
+        // insertions and removals produce, so scratch-buffer and hasher
+        // changes in the reposition path cannot move a single decision.
+        let g = shuffle_labels(
+            &planted_partition(PlantedPartitionConfig {
+                num_vertices: 400,
+                num_edges: 3000,
+                communities: 6,
+                p_intra: 0.8,
+                gamma: 2.2,
+                seed: 404,
+            }),
+            19,
+        );
+        let mut inc = IncrementalGoGraph::new(400);
+        for e in g.edges() {
+            inc.add_edge(e.src, e.dst);
+        }
+        for e in g.edges().step_by(7) {
+            inc.remove_edge(e.src, e.dst);
+        }
+        let (vals, lo, hi) = inc.order_state();
+        let hash = vals
+            .iter()
+            .chain([&lo, &hi])
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, v| {
+                (h ^ v.to_bits()).wrapping_mul(0x0100_0000_01b3)
+            });
+        assert_eq!(hash, 4990414556282242336, "per-edge maintained order moved");
     }
 
     #[test]

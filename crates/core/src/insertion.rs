@@ -15,6 +15,9 @@
 //! (`+w` for an in-neighbor passed, `−w` for an out-neighbor passed) and
 //! keeping the best position seen.
 
+use std::collections::HashSet;
+use std::hash::{BuildHasherDefault, Hasher};
+
 /// A placed-or-pending item's neighbor, as seen by [`InsertionOrder::insert`]:
 /// `in_weight` is the total weight of edges *from* the neighbor *to* the
 /// candidate; `out_weight` is the total weight of edges from the candidate
@@ -37,6 +40,51 @@ impl NeighborLink {
             in_weight,
             out_weight,
         }
+    }
+}
+
+/// Hasher for the used-val set: the murmur3 64-bit finalizer over the
+/// val's bits. Float bit patterns of small integers and dyadic midpoints
+/// differ mostly in their high bits, so the full avalanche matters. The
+/// keys are vals this order computed (or restored from its own saved
+/// state), never adversarial input, so collision resistance does not;
+/// a fixed hasher also keeps the set deterministic across processes.
+#[derive(Debug, Clone, Copy, Default)]
+struct ValBitsHasher(u64);
+
+impl Hasher for ValBitsHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        let mut h = self.0 ^ x;
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+        h ^= h >> 33;
+        self.0 = h;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type ValSet = HashSet<u64, BuildHasherDefault<ValBitsHasher>>;
+
+/// An integer key ordering vals as `f64::partial_cmp` does: IEEE bits
+/// with negatives' bits flipped and positives' sign bit set, `-0.0`
+/// folded into `0.0` first (vals are never NaN).
+fn sort_key(val: f64) -> u64 {
+    let bits = (val + 0.0).to_bits();
+    if bits >> 63 == 0 {
+        bits | 1 << 63
+    } else {
+        !bits
     }
 }
 
@@ -64,10 +112,14 @@ pub struct InsertOutcome {
 pub struct InsertionOrder {
     vals: Vec<f64>,
     inserted: Vec<bool>,
-    used_vals: std::collections::HashSet<u64>,
+    used_vals: ValSet,
     min_val: f64,
     max_val: f64,
     count: usize,
+    /// Scratch for [`InsertionOrder::insert`]: the candidate's placed
+    /// neighbors as `(sort key of val, link index)`, reused across calls
+    /// so the scan allocates nothing once warm.
+    placed: Vec<(u64, usize)>,
 }
 
 impl InsertionOrder {
@@ -76,10 +128,11 @@ impl InsertionOrder {
         InsertionOrder {
             vals: vec![f64::NAN; n],
             inserted: vec![false; n],
-            used_vals: std::collections::HashSet::with_capacity(n),
+            used_vals: ValSet::with_capacity_and_hasher(n, Default::default()),
             min_val: 0.0,
             max_val: 0.0,
             count: 0,
+            placed: Vec::new(),
         }
     }
 
@@ -120,15 +173,38 @@ impl InsertionOrder {
     /// strict `maxpev < pev` update while scanning head → tail.
     pub fn insert(&mut self, id: usize, neighbors: &[NeighborLink]) -> InsertOutcome {
         assert!(!self.inserted[id], "item {id} inserted twice");
-        // Keep only placed neighbors, sorted by val ascending.
-        let mut placed: Vec<(f64, f64, f64)> = neighbors
-            .iter()
-            .filter(|l| l.id != id && self.inserted[l.id])
-            .map(|l| (self.vals[l.id], l.in_weight, l.out_weight))
-            .collect();
-        placed.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
+        // Keep only placed neighbors, sorted by val ascending. Sorting
+        // `(val key, link index)` pairs as plain integers keeps equal
+        // vals in link order, as a stable sort by val would.
+        let mut placed = std::mem::take(&mut self.placed);
+        placed.clear();
+        placed.extend(
+            neighbors
+                .iter()
+                .enumerate()
+                .filter(|(_, l)| l.id != id && self.inserted[l.id])
+                .map(|(i, l)| (sort_key(self.vals[l.id]), i)),
+        );
+        placed.sort_unstable();
+        let outcome = self.place(id, neighbors, &placed);
+        self.placed = placed;
+        outcome
+    }
 
-        let total_link_weight: f64 = placed.iter().map(|&(_, wi, wo)| wi + wo).sum();
+    /// The position scan of [`InsertionOrder::insert`] over `placed`:
+    /// `(sort key, index into neighbors)` of the candidate's placed
+    /// neighbors, ascending by val.
+    fn place(
+        &mut self,
+        id: usize,
+        neighbors: &[NeighborLink],
+        placed: &[(u64, usize)],
+    ) -> InsertOutcome {
+        let link = |&(_, i): &(u64, usize)| &neighbors[i];
+        let total_link_weight: f64 = placed
+            .iter()
+            .map(|p| link(p).in_weight + link(p).out_weight)
+            .sum();
 
         let val = if self.count == 0 || placed.is_empty() {
             // First item, or no placed neighbors: append at the tail.
@@ -140,13 +216,13 @@ impl InsertionOrder {
         } else {
             // Head position: every out-edge to a placed neighbor is
             // positive (the candidate precedes them all).
-            let mut pev: f64 = placed.iter().map(|&(_, _, wo)| wo).sum();
+            let mut pev: f64 = placed.iter().map(|p| link(p).out_weight).sum();
             let mut best_pev = pev;
             let mut best_pos = 0usize; // position = before placed[best_pos]
-            for (i, &(_, wi, wo)) in placed.iter().enumerate() {
+            for (i, p) in placed.iter().enumerate() {
                 // Move the candidate just past neighbor i: its in-edges
                 // from i become positive, its out-edges to i negative.
-                pev += wi - wo;
+                pev += link(p).in_weight - link(p).out_weight;
                 if pev > best_pev {
                     best_pev = pev;
                     best_pos = i + 1;
@@ -159,7 +235,8 @@ impl InsertionOrder {
             } else if best_pos == placed.len() {
                 self.max_val + 1.0
             } else {
-                self.unique_between(placed[best_pos - 1].0, placed[best_pos].0)
+                let val_of = |p: &(u64, usize)| self.vals[link(p).id];
+                self.unique_between(val_of(&placed[best_pos - 1]), val_of(&placed[best_pos]))
             };
             self.finish(id, chosen);
             return InsertOutcome {
@@ -285,12 +362,7 @@ impl InsertionOrder {
     /// are returned.
     pub fn sorted_items(&self) -> Vec<usize> {
         let mut items: Vec<usize> = (0..self.vals.len()).filter(|&i| self.inserted[i]).collect();
-        items.sort_by(|&a, &b| {
-            self.vals[a]
-                .partial_cmp(&self.vals[b])
-                .unwrap()
-                .then(a.cmp(&b))
-        });
+        items.sort_unstable_by_key(|&i| (sort_key(self.vals[i]), i));
         items
     }
 
@@ -502,6 +574,20 @@ mod tests {
         // positions: head = 5 (out to 1); after 0 = 5 + 1 = 6; after 1 = 6 - 5 = 1.
         assert_eq!(r.positive_gain, 6.0);
         assert!(o.val(2) > o.val(0) && o.val(2) < o.val(1));
+    }
+
+    #[test]
+    fn sort_key_orders_like_partial_cmp() {
+        let vals = [-3.5, -1.0, -1e-300, -0.0, 0.0, 1e-300, 0.5, 1.0, 2.0, 1e300];
+        for &a in &vals {
+            for &b in &vals {
+                assert_eq!(
+                    sort_key(a).cmp(&sort_key(b)),
+                    a.partial_cmp(&b).unwrap(),
+                    "{a} vs {b}"
+                );
+            }
+        }
     }
 
     #[test]

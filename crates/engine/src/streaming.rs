@@ -7,7 +7,8 @@
 //!
 //! 1. folds the updates into an [`IncrementalGoGraph`], which maintains
 //!    the positive-edge-maximizing processing order by local
-//!    repositioning instead of a full GoGraph re-run;
+//!    repositioning (each vertex the batch touched moves once, against
+//!    the post-batch graph) instead of a full GoGraph re-run;
 //! 2. patches the CSR through [`CsrGraph::apply_updates`] (a sorted
 //!    merge, no global re-sort);
 //! 3. when the maintained order's positive-edge fraction has drifted
